@@ -9,7 +9,8 @@ isolates the control plane: per-server RPC dispatch vs the batched
 group broadcast (``control_backend="vectorized"``).
 
 Reports per-cycle latency and control-plane speedup at 1k/10k servers
-plus the 100k-server full-tick wall time to ``BENCH_control_plane.json``.
+plus the 100k-server full-tick wall time to ``BENCH_control_plane.json``,
+stamped with the CPU count the numbers were measured on.
 The backends are also cross-checked: total fleet power after the timed
 window must match exactly, because the batched control plane is
 bit-identical by contract.
@@ -30,6 +31,8 @@ _CYCLE_S = 3.0
 
 _SCALE = float(os.environ.get("REPRO_BENCH_CONTROL_SCALE", "1.0"))
 _FULL_SCALE = _SCALE >= 1.0
+#: CPUs this process may run on, stamped into every report row.
+_CPUS = len(os.sched_getaffinity(0))
 
 
 def _sized(n: int) -> int:
@@ -92,7 +95,12 @@ def test_control_plane_speedup_1k(once, bench_report):
     bench_report(
         "control_plane",
         {"control_1k": result},
-        knobs={"seed": 0, "scale": _SCALE, "physics_backend": "vectorized"},
+        knobs={
+            "seed": 0,
+            "scale": _SCALE,
+            "physics_backend": "vectorized",
+            "cpus": _CPUS,
+        },
     )
     print(
         f"\n{result['servers']} servers: control "
@@ -112,7 +120,12 @@ def test_control_plane_speedup_10k(once, bench_report):
     bench_report(
         "control_plane",
         {"control_10k": result},
-        knobs={"seed": 0, "scale": _SCALE, "physics_backend": "vectorized"},
+        knobs={
+            "seed": 0,
+            "scale": _SCALE,
+            "physics_backend": "vectorized",
+            "cpus": _CPUS,
+        },
     )
     print(
         f"\n{result['servers']} servers: control "
@@ -134,7 +147,12 @@ def test_control_plane_full_tick_100k(once, bench_report):
     bench_report(
         "control_plane",
         {"control_100k": result},
-        knobs={"seed": 0, "scale": _SCALE, "physics_backend": "vectorized"},
+        knobs={
+            "seed": 0,
+            "scale": _SCALE,
+            "physics_backend": "vectorized",
+            "cpus": _CPUS,
+        },
     )
     print(
         f"\n{result['servers']} servers: full tick "

@@ -13,12 +13,21 @@ even-share rule implies).
 Figure 16's snapshot is exactly this allocator's output: all web/feed
 servers above the 210 W bucket boundary received cuts, with caps floored
 at 210 W.
+
+The allocator is one array kernel, :func:`allocate_cuts`, over
+``power_w`` / ``min_cap_w`` float arrays.  Its float results are fixed
+by the order of every sum: running totals accumulate strictly left to
+right (``np.cumsum`` / ``np.subtract.accumulate``, never the pairwise
+``np.sum``) over servers in stage order — bucket descending, input order
+within a bucket — so the result is a deterministic function of the
+input order, identical to a plain sequential loop.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -45,31 +54,95 @@ class AllocationResult:
         return sum(self.cuts_w.values())
 
 
-def _distribute_evenly(
-    headrooms: dict[str, float], amount: float
-) -> dict[str, float]:
-    """Water-fill ``amount`` evenly across servers bounded by headrooms."""
-    cuts = {server_id: 0.0 for server_id in headrooms}
-    active = {s: h for s, h in headrooms.items() if h > 0.0}
+def _running_total(values: np.ndarray) -> float:
+    """Left-to-right sum (0.0 when empty), as a sequential loop adds."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def _water_fill(headroom: np.ndarray, amount: float) -> np.ndarray:
+    """Water-fill ``amount`` evenly across servers bounded by ``headroom``.
+
+    Each round splits what is left equally over the servers that still
+    have headroom; servers whose headroom the round exhausts drop out.
+    The running remainder is a left-to-right ``subtract.accumulate`` over
+    the round's takes, so every round sees the same remainder a
+    sequential loop would.
+    """
+    cuts = np.zeros(headroom.size)
+    active = np.flatnonzero(headroom > 0.0)
+    left = headroom[active]
     remaining = amount
-    while remaining > 1e-9 and active:
-        share = remaining / len(active)
-        exhausted: list[str] = []
-        for server_id, headroom in active.items():
-            take = min(share, headroom)
-            cuts[server_id] += take
-            remaining -= take
-            new_headroom = headroom - take
-            if new_headroom <= 1e-12:
-                exhausted.append(server_id)
-            else:
-                active[server_id] = new_headroom
-        for server_id in exhausted:
-            del active[server_id]
-        if not exhausted and remaining > 1e-9:
-            # Everyone still has headroom: one more equal pass clears it.
-            continue
+    while remaining > 1e-9 and active.size:
+        take = np.minimum(remaining / active.size, left)
+        cuts[active] += take
+        remaining = float(
+            np.subtract.accumulate(np.concatenate(([remaining], take)))[-1]
+        )
+        left = left - take
+        keep = left > 1e-12
+        active = active[keep]
+        left = left[keep]
     return cuts
+
+
+def allocate_cuts(
+    power_w: np.ndarray,
+    min_cap_w: np.ndarray,
+    total_cut_w: float,
+    bucket_width_w: float,
+) -> tuple[np.ndarray, float]:
+    """Allocate ``total_cut_w`` across servers high-bucket-first.
+
+    Servers are staged by a stable sort on bucket index, descending
+    (input order kept within a bucket).  At each stage every included
+    server may be cut down to the lower edge of the lowest included
+    bucket (never below its own ``min_cap_w``); the stage's cut is
+    water-filled across them.  A final pass, in input order, cuts
+    everyone toward their SLA floors when the buckets could not absorb
+    the whole cut.
+
+    Returns the per-server cuts (input order) and the remainder SLA
+    floors made impossible to allocate.  Inputs are not validated.
+    """
+    n = power_w.size
+    if total_cut_w == 0.0 or n == 0:
+        return np.zeros(n), total_cut_w
+    bucket = np.floor(power_w / bucket_width_w).astype(np.int64)
+    order = np.argsort(-bucket, kind="stable")
+    sorted_bucket = bucket[order]
+    power = power_w[order]
+    floor = min_cap_w[order]
+    cut = np.zeros(n)
+    # End of each bucket's run in stage order: the included prefix.
+    ends = np.append(np.flatnonzero(np.diff(sorted_bucket)) + 1, n)
+
+    remaining = total_cut_w
+    for end in ends.tolist():
+        floor_w = int(sorted_bucket[end - 1]) * bucket_width_w
+        lower = np.maximum(floor_w, floor[:end])
+        headroom = np.maximum(0.0, (power[:end] - cut[:end]) - lower)
+        capacity = _running_total(headroom)
+        if capacity <= 0.0:
+            continue
+        stage = _water_fill(headroom, min(remaining, capacity))
+        cut[:end] += stage
+        remaining -= _running_total(stage)
+        if remaining <= 1e-9:
+            remaining = 0.0
+            break
+
+    cuts = np.empty(n)
+    cuts[order] = cut
+    # Whatever buckets could not satisfy, SLA floors may still allow: a
+    # final pass cuts everyone toward their floor evenly.
+    if remaining > 1e-9:
+        final = _water_fill(
+            np.maximum(0.0, (power_w - cuts) - min_cap_w), remaining
+        )
+        cuts += final
+        remaining -= _running_total(final)
+        remaining = max(0.0, remaining)
+    return cuts, remaining
 
 
 def allocate_high_bucket_first(
@@ -80,64 +153,22 @@ def allocate_high_bucket_first(
 ) -> AllocationResult:
     """Allocate ``total_cut_w`` across ``servers`` high-bucket-first.
 
-    Buckets descend from the highest occupied one; at each stage every
-    server in an included bucket may be cut down to the lower edge of the
-    lowest included bucket (never below its own ``min_cap_w``).  The cut
-    at each stage is distributed evenly (water-filled) across included
-    servers.
-
-    Returns per-server cuts and any remainder that SLA floors made
-    impossible to allocate.
+    Record-based adapter over :func:`allocate_cuts` (the upper
+    controllers' offender allocation and the allocation benches use it).
+    Returns per-server cuts keyed by server id and any remainder that
+    SLA floors made impossible to allocate.
     """
     if total_cut_w < 0:
         raise ConfigurationError("total cut cannot be negative")
     if bucket_width_w <= 0:
         raise ConfigurationError("bucket width must be positive")
-    cuts: dict[str, float] = {s.server_id: 0.0 for s in servers}
-    if total_cut_w == 0.0 or not servers:
-        return AllocationResult(cuts_w=cuts, unallocated_w=total_cut_w)
-
-    by_id = {s.server_id: s for s in servers}
-    buckets: dict[int, list[str]] = {}
-    for s in servers:
-        buckets.setdefault(int(math.floor(s.power_w / bucket_width_w)), []).append(
-            s.server_id
-        )
-
-    remaining = total_cut_w
-    included: list[str] = []
-    for bucket_index in sorted(buckets, reverse=True):
-        included.extend(buckets[bucket_index])
-        floor_w = bucket_index * bucket_width_w
-        headrooms: dict[str, float] = {}
-        for server_id in included:
-            s = by_id[server_id]
-            lower_bound = max(floor_w, s.min_cap_w)
-            current = s.power_w - cuts[server_id]
-            headrooms[server_id] = max(0.0, current - lower_bound)
-        capacity = sum(headrooms.values())
-        if capacity <= 0.0:
-            continue
-        stage_cut = min(remaining, capacity)
-        stage_cuts = _distribute_evenly(headrooms, stage_cut)
-        for server_id, cut in stage_cuts.items():
-            cuts[server_id] += cut
-        remaining -= sum(stage_cuts.values())
-        if remaining <= 1e-9:
-            remaining = 0.0
-            break
-
-    # Whatever buckets could not satisfy, SLA floors may still allow: a
-    # final pass cuts everyone toward their floor evenly.
-    if remaining > 1e-9:
-        headrooms = {
-            s.server_id: max(0.0, s.power_w - cuts[s.server_id] - s.min_cap_w)
-            for s in servers
-        }
-        final_cuts = _distribute_evenly(headrooms, remaining)
-        for server_id, cut in final_cuts.items():
-            cuts[server_id] += cut
-        remaining -= sum(final_cuts.values())
-        remaining = max(0.0, remaining)
-
-    return AllocationResult(cuts_w=cuts, unallocated_w=remaining)
+    cuts, unallocated = allocate_cuts(
+        np.array([s.power_w for s in servers], dtype=float),
+        np.array([s.min_cap_w for s in servers], dtype=float),
+        total_cut_w,
+        bucket_width_w,
+    )
+    return AllocationResult(
+        cuts_w=dict(zip((s.server_id for s in servers), cuts.tolist())),
+        unallocated_w=unallocated,
+    )

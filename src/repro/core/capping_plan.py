@@ -6,14 +6,28 @@ priority group first; whatever that group cannot absorb (because its
 servers hit their SLA floors) rolls up to the next group.  Each server's
 cap is then its current power less its allocated cut — the paper's
 "currently consuming 250 W, power-cut 30 W, cap at 220 W" arithmetic.
+
+:func:`plan_cuts` works on arrays: a stable sort by priority group, then
+one :func:`~repro.core.bucket.allocate_cuts` call per group.  Leaf
+controllers feed it straight from their sense arrays;
+:func:`build_capping_plan` is the adapter for a ``PowerReading`` list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.config import BucketConfig
-from repro.core.bucket import AllocationInput, allocate_high_bucket_first
+from repro.core.bucket import allocate_cuts
+# Re-exported: the planner's allocator stays reachable under this module,
+# where profiling wrappers (perfbench/tracing.py) look it up.
+from repro.core.bucket import (
+    allocate_high_bucket_first as allocate_high_bucket_first,
+)
 from repro.core.messages import PowerReading
 from repro.core.priority import PriorityPolicy
 
@@ -34,30 +48,134 @@ class ServerCut:
         return self.current_power_w - self.cut_w
 
 
-@dataclass
+@dataclass(eq=False)
 class CappingPlan:
-    """A complete capping decision for one device."""
+    """A complete capping decision for one device.
+
+    Every array is in plan order: priority group ascending, input order
+    within a group (input order throughout when there is no cut).
+    ``cuts`` and ``affected_servers`` are per-server record views, built
+    once on first use.
+    """
 
     total_cut_w: float
-    cuts: list[ServerCut] = field(default_factory=list)
+    server_ids: np.ndarray
+    services: np.ndarray
+    priority_groups: np.ndarray
+    power_w: np.ndarray
+    cut_w: np.ndarray
     unallocated_w: float = 0.0
 
-    @property
-    def affected_servers(self) -> list[ServerCut]:
-        """Cuts that actually bind (cut > 0)."""
-        return [c for c in self.cuts if c.cut_w > 1e-9]
+    @cached_property
+    def affected_mask(self) -> np.ndarray:
+        """Servers whose cut actually binds (cut > 1e-9)."""
+        return self.cut_w > 1e-9
 
-    @property
+    @cached_property
+    def cap_w(self) -> np.ndarray:
+        """Per-server caps: current power less the cut."""
+        return self.power_w - self.cut_w
+
+    @cached_property
     def allocated_w(self) -> float:
         """Total power successfully allocated to cuts."""
-        return sum(c.cut_w for c in self.cuts)
+        if not self.cut_w.size:
+            return 0.0
+        return float(np.cumsum(self.cut_w)[-1])
 
-    def cap_for(self, server_id: str) -> float | None:
-        """The cap for one server, or None if it is unaffected."""
-        for cut in self.affected_servers:
-            if cut.server_id == server_id:
-                return cut.cap_w
-        return None
+    @cached_property
+    def cuts(self) -> list[ServerCut]:
+        """Every server's share, as records."""
+        return self._records(slice(None))
+
+    @cached_property
+    def affected_servers(self) -> list[ServerCut]:
+        """Cuts that actually bind (cut > 0)."""
+        return self._records(self.affected_mask)
+
+    def _records(self, rows: slice | np.ndarray) -> list[ServerCut]:
+        return [
+            ServerCut(*fields)
+            for fields in zip(
+                self.server_ids[rows].tolist(),
+                self.services[rows].tolist(),
+                self.priority_groups[rows].tolist(),
+                self.power_w[rows].tolist(),
+                self.cut_w[rows].tolist(),
+            )
+        ]
+
+
+def policy_arrays(
+    policy: PriorityPolicy, services: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(priority group, SLA floor) per service, one lookup per distinct one.
+
+    Looked up afresh on every call, so a ``PriorityPolicy.register``
+    between cycles takes effect on the next plan.
+    """
+    specs = {
+        service: (policy.priority_group(service), policy.sla_min_cap_w(service))
+        for service in dict.fromkeys(services)
+    }
+    groups = np.array([specs[s][0] for s in services], dtype=np.int64)
+    floors = np.array([specs[s][1] for s in services], dtype=float)
+    return groups, floors
+
+
+def plan_cuts(
+    server_ids: np.ndarray,
+    services: np.ndarray,
+    power_w: np.ndarray,
+    priority_groups: np.ndarray,
+    min_cap_w: np.ndarray,
+    total_cut_w: float,
+    *,
+    bucket_width_w: float,
+) -> CappingPlan:
+    """Allocate ``total_cut_w`` across servers, lowest priority group first.
+
+    All arrays are per server in input order.  Each group (taken in
+    ascending order, input order kept within it) gets one
+    high-bucket-first allocation of whatever cut the groups before it
+    could not absorb.  ``unallocated_w`` is nonzero only when every
+    server in every group is already at its SLA floor.
+    """
+    if total_cut_w <= 0.0:
+        # Nothing to allocate: every server uncut, in input order.
+        return CappingPlan(
+            total_cut_w=total_cut_w,
+            server_ids=server_ids,
+            services=services,
+            priority_groups=priority_groups,
+            power_w=power_w,
+            cut_w=np.zeros(power_w.size),
+        )
+    order = np.argsort(priority_groups, kind="stable")
+    groups = priority_groups[order]
+    power = power_w[order]
+    floors = min_cap_w[order]
+    cut = np.zeros(order.size)
+    remaining = total_cut_w
+    if order.size:
+        edges = [0, *(np.flatnonzero(np.diff(groups)) + 1).tolist(), order.size]
+        for start, end in zip(edges[:-1], edges[1:]):
+            cut[start:end], remaining = allocate_cuts(
+                power[start:end], floors[start:end], remaining, bucket_width_w
+            )
+            if remaining <= 1e-9:
+                # Higher groups stay uncut.
+                remaining = 0.0
+                break
+    return CappingPlan(
+        total_cut_w=total_cut_w,
+        server_ids=server_ids[order],
+        services=services[order],
+        priority_groups=groups,
+        power_w=power,
+        cut_w=cut,
+        unallocated_w=remaining,
+    )
 
 
 def build_capping_plan(
@@ -80,72 +198,14 @@ def build_capping_plan(
         in every group is already at its SLA floor.
     """
     bucket = bucket or BucketConfig()
-    plan = CappingPlan(total_cut_w=total_cut_w)
-    if total_cut_w <= 0.0:
-        plan.cuts = [
-            ServerCut(
-                server_id=r.server_id,
-                service=r.service,
-                priority_group=policy.priority_group(r.service),
-                current_power_w=r.power_w,
-                cut_w=0.0,
-            )
-            for r in readings
-        ]
-        return plan
-
-    by_group: dict[int, list[PowerReading]] = {}
-    for reading in readings:
-        group = policy.priority_group(reading.service)
-        by_group.setdefault(group, []).append(reading)
-
-    remaining = total_cut_w
-    for group in sorted(by_group):
-        group_readings = by_group[group]
-        inputs = [
-            AllocationInput(
-                server_id=r.server_id,
-                power_w=r.power_w,
-                min_cap_w=policy.sla_min_cap_w(r.service),
-            )
-            for r in group_readings
-        ]
-        if remaining > 0.0:
-            result = allocate_high_bucket_first(
-                inputs, remaining, bucket_width_w=bucket.bucket_width_w
-            )
-            remaining = result.unallocated_w
-        else:
-            result = allocate_high_bucket_first(
-                inputs, 0.0, bucket_width_w=bucket.bucket_width_w
-            )
-        for reading in group_readings:
-            plan.cuts.append(
-                ServerCut(
-                    server_id=reading.server_id,
-                    service=reading.service,
-                    priority_group=group,
-                    current_power_w=reading.power_w,
-                    cut_w=result.cuts_w[reading.server_id],
-                )
-            )
-        if remaining <= 1e-9:
-            remaining = 0.0
-            # Servers in higher groups remain uncut; record them so the
-            # plan covers the whole device.
-            for higher_group in sorted(by_group):
-                if higher_group <= group:
-                    continue
-                for reading in by_group[higher_group]:
-                    plan.cuts.append(
-                        ServerCut(
-                            server_id=reading.server_id,
-                            service=reading.service,
-                            priority_group=higher_group,
-                            current_power_w=reading.power_w,
-                            cut_w=0.0,
-                        )
-                    )
-            break
-    plan.unallocated_w = remaining
-    return plan
+    services = [r.service for r in readings]
+    groups, floors = policy_arrays(policy, services)
+    return plan_cuts(
+        np.array([r.server_id for r in readings], dtype=object),
+        np.array(services, dtype=object),
+        np.array([r.power_w for r in readings], dtype=float),
+        groups,
+        floors,
+        total_cut_w,
+        bucket_width_w=bucket.bucket_width_w,
+    )

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.capping_plan import CappingPlan
 from repro.core.leaf_controller import LeafPowerController
 from repro.errors import ControllerError
@@ -85,7 +87,7 @@ class DryRunLeafController(LeafPowerController):
                 controller=self.name,
                 action="cap",
                 total_cut_w=plan.allocated_w,
-                affected_servers=len(plan.affected_servers),
+                affected_servers=int(np.count_nonzero(plan.affected_mask)),
                 detail=(
                     f"target cut {plan.total_cut_w:.0f} W, "
                     f"unallocated {plan.unallocated_w:.0f} W"

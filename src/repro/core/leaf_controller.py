@@ -41,7 +41,12 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.config import BucketConfig, ControllerConfig
-from repro.core.capping_plan import CappingPlan, build_capping_plan
+from repro.core.capping_plan import (
+    CappingPlan,
+    build_capping_plan,
+    plan_cuts,
+    policy_arrays,
+)
 from repro.core.controller import BaseController, DecisionPolicy
 from repro.core.health import OperatingMode
 from repro.core.messages import CapRequest, CapResponse, PowerReading
@@ -71,9 +76,11 @@ class BatchedSense:
     actuate: ``values``/``success_mask`` hold per-position sensed powers
     (position = index into the controller's ``server_ids``), while
     stale-cache hits and estimated readings stay materialized (they are
-    few).  :meth:`readings` materializes the full scalar list — in the
-    scalar reference order: successes by broadcast position, then stale,
-    then estimated — which actuation's capping planner consumes.
+    few).  The scalar reference order is successes by broadcast
+    position, then stale, then estimated: :meth:`capping_plan` feeds the
+    allocator in that order straight from the arrays, and
+    :meth:`readings` materializes it as a full scalar list (the
+    attribution views' input).
     """
 
     __slots__ = (
@@ -122,8 +129,45 @@ class BatchedSense:
             return 0.0
         return float(np.cumsum(parts)[-1])
 
+    def capping_plan(self, total_cut_w: float) -> CappingPlan:
+        """Plan ``total_cut_w`` from the sense arrays, no per-server records.
+
+        Priority group and SLA floor are looked up once per distinct
+        service this cycle (the policy may be re-registered at any time)
+        and indexed by each position's service code.
+        """
+        controller = self.controller
+        positions = np.flatnonzero(self.success_mask)
+        tail = self.stale_served + self.estimated
+        tail_services = [r.service for r in tail]
+        code_services = list(controller._svc_code_of)
+        code_groups, code_floors = policy_arrays(controller.policy, code_services)
+        tail_groups, tail_floors = policy_arrays(controller.policy, tail_services)
+        codes = controller._svc_codes[positions]
+        return plan_cuts(
+            np.concatenate(
+                (
+                    controller._id_array[positions],
+                    np.array([r.server_id for r in tail], dtype=object),
+                )
+            ),
+            np.concatenate(
+                (
+                    np.array(code_services, dtype=object)[codes],
+                    np.array(tail_services, dtype=object),
+                )
+            ),
+            np.concatenate(
+                (self.values[positions], [r.power_w for r in tail])
+            ),
+            np.concatenate((code_groups[codes], tail_groups)),
+            np.concatenate((code_floors[codes], tail_floors)),
+            total_cut_w,
+            bucket_width_w=controller._bucket.bucket_width_w,
+        )
+
     def readings(self) -> list[PowerReading]:
-        """Materialize the scalar reading list (the aggregation boundary)."""
+        """Materialize the scalar reading list (the attribution boundary)."""
         controller = self.controller
         out: list[PowerReading] = []
         for p in np.flatnonzero(self.success_mask):
@@ -233,6 +277,7 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         self._pos_of_server: dict[str, int] = {}
         self._svc_codes: np.ndarray | None = None
         self._svc_code_of: dict[str, int] = {}
+        self._id_array: np.ndarray | None = None
         self._last_power: np.ndarray | None = None
         self._last_time: np.ndarray | None = None
         self._last_est: np.ndarray | None = None
@@ -260,6 +305,7 @@ class LeafPowerController(BaseController[list[PowerReading]]):
             codes[p] = code_of.setdefault(service, len(code_of))
         self._svc_codes = codes
         self._svc_code_of = code_of
+        self._id_array = np.array(self.server_ids, dtype=object)
         self._last_power = np.zeros(n)
         self._last_time = np.zeros(n)
         self._last_est = np.zeros(n, dtype=bool)
@@ -796,17 +842,15 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         self._actuation_successes = 0
         self._actuation_failures = 0
         if decision.action is BandAction.CAP:
-            readings = (
-                sensed.readings()
-                if isinstance(sensed, BatchedSense)
-                else sensed
-            )
-            plan = build_capping_plan(
-                readings,
-                decision.total_power_cut_w,
-                self.policy,
-                bucket=self._bucket,
-            )
+            if isinstance(sensed, BatchedSense):
+                plan = sensed.capping_plan(decision.total_power_cut_w)
+            else:
+                plan = build_capping_plan(
+                    sensed,
+                    decision.total_power_cut_w,
+                    self.policy,
+                    bucket=self._bucket,
+                )
             trace.cut_allocated_w = plan.allocated_w
             self._apply_plan(plan, now_s)
         elif decision.action is BandAction.UNCAP:
@@ -851,23 +895,27 @@ class LeafPowerController(BaseController[list[PowerReading]]):
                 f"{plan.unallocated_w:.0f} W of required cut could not be "
                 "allocated: all servers at SLA floors",
             )
+        affected = plan.affected_mask
+        server_ids = plan.server_ids[affected].tolist()
+        caps = plan.cap_w[affected].tolist()
+        prefix = self._endpoint_prefix
         group = self._group_set_cap(
             [
-                (self._endpoint_prefix + cut.server_id, cut.server_id, cut.cap_w)
-                for cut in plan.affected_servers
+                (prefix + server_id, server_id, cap_w)
+                for server_id, cap_w in zip(server_ids, caps)
             ]
         )
         if group is not None:
-            for cut, status in zip(plan.affected_servers, group.status):
+            for server_id, cap_w, status in zip(server_ids, caps, group.status):
                 if status == "ok":
-                    self._capped_servers[cut.server_id] = cut.cap_w
+                    self._capped_servers[server_id] = cap_w
                     self._actuation_successes += 1
                 elif status == "error":
                     self._actuation_failures += 1
             return
-        for cut in plan.affected_servers:
-            endpoint = self._endpoint_prefix + cut.server_id
-            request = CapRequest(server_id=cut.server_id, limit_w=cut.cap_w)
+        for server_id, cap_w in zip(server_ids, caps):
+            endpoint = prefix + server_id
+            request = CapRequest(server_id=server_id, limit_w=cap_w)
             try:
                 response: CapResponse = self._transport.call(
                     endpoint, "set_cap", request
@@ -878,7 +926,7 @@ class LeafPowerController(BaseController[list[PowerReading]]):
                 self._actuation_failures += 1
                 continue
             if response.success or response.message:
-                self._capped_servers[cut.server_id] = cut.cap_w
+                self._capped_servers[server_id] = cap_w
                 self._actuation_successes += 1
 
     def _uncap_all(self, now_s: float) -> None:

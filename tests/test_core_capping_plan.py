@@ -133,11 +133,11 @@ class TestCappingPlan:
         plan = build_capping_plan(readings, 10.0, self.policy)
         assert {c.server_id for c in plan.cuts} == {"h1", "c1"}
 
-    def test_cap_for_lookup(self):
-        readings = [reading("h1", 260.0, "hadoop")]
+    def test_affected_cap_lookup(self):
+        readings = [reading("h1", 260.0, "hadoop"), reading("c1", 260.0, "cache")]
         plan = build_capping_plan(readings, 20.0, self.policy)
-        assert plan.cap_for("h1") == pytest.approx(240.0)
-        assert plan.cap_for("ghost") is None
+        caps = {c.server_id: c.cap_w for c in plan.affected_servers}
+        assert caps == {"h1": pytest.approx(240.0)}
 
     def test_bucket_config_respected(self):
         readings = [
